@@ -104,6 +104,10 @@ type Gateway struct {
 	sessions []*TenantSession
 	sessByID map[uint32]*TenantSession
 
+	// onPost, when set, observes every request the instant it is on the
+	// wire (the post-trace tests hash this stream).
+	onPost func(s *TenantSession, seq uint64, claimed uint32)
+
 	mSubmitted, mProbes, mStalls *metrics.Counter
 }
 
@@ -451,6 +455,9 @@ func (g *Gateway) post(s *TenantSession, claimed uint32) error {
 	g.laneInflight[lane]++
 	s.inflight[seq] = claimed
 	s.sent++
+	if g.onPost != nil {
+		g.onPost(s, seq, claimed)
+	}
 	return nil
 }
 

@@ -37,7 +37,7 @@ BENCH9_PATTERN = ^(BenchmarkPageChanMono2K|BenchmarkPageChanPipe2K|BenchmarkPage
 # `make bench-drain` records the contrast in BENCH_10.json.
 BENCH10_PATTERN = ^(BenchmarkDrainSameRackPar1|BenchmarkDrainSameRackPar8|BenchmarkDrainCrossRackPar1|BenchmarkDrainCrossRackPar8)$$
 
-.PHONY: all build vet test test-race chaos chaos-abort chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz check bench bench-smoke bench-cutover bench-parallel bench-tenancy bench-pagechan bench-drain trajectory
+.PHONY: all build vet test test-race chaos chaos-abort chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz check bench bench-smoke bench-cutover bench-parallel bench-tenancy bench-pagechan bench-drain trajectory canonbench canonbench-test
 
 all: build
 
@@ -157,6 +157,27 @@ bench-drain:
 	$(GO) test -run '^$$' -bench '$(BENCH10_PATTERN)' -benchtime 3x -timeout 30m . \
 		| $(GO) run ./cmd/benchjson -out BENCH_10.json
 
+# The canonical migration benchmark (canonbench/): each workload runs
+# whole rounds for about CANON_SECONDS of wall time at CANON_SEED and
+# prints its end-to-end metrics as one JSON line. Pass CANON_TRACE=1
+# for the per-layer ledger instead.
+CANON_WORKLOADS = linerate-pingpong tenant-pingpong rack-drain
+CANON_SEED ?= 1
+CANON_SECONDS ?= 35
+CANON_TRACE ?= 0
+
+canonbench:
+	for w in $(CANON_WORKLOADS); do \
+		bash canonbench/run.sh --workload $$w --seed $(CANON_SEED) \
+			--seconds $(CANON_SECONDS) --trace $(CANON_TRACE) || exit 1; \
+	done
+
+# The benchmark module's own tests (round determinism, ledger in step
+# with BENCHMARK.json). It is a separate Go module, so the root
+# `go test ./...` does not reach it.
+canonbench-test:
+	cd canonbench && $(GO) test -short ./...
+
 # Render the cross-PR perf trajectory: current/baseline deltas from
 # every checked-in BENCH_*.json, one column per file.
 trajectory:
@@ -168,5 +189,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x $(BENCH_PKGS)
 	$(GO) test -run '^$$' -bench '$(BENCH6_PATTERN)' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^(BenchmarkTenancySessions250|BenchmarkPageChanPipe2K|BenchmarkDrainSameRackPar8)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkGatewayPump$$' -benchtime 1x ./internal/tenant
 
-check: vet test bench-smoke chaos chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz test-race
+check: vet test canonbench-test bench-smoke chaos chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz test-race

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"migrrdma/internal/core"
@@ -20,6 +21,8 @@ import (
 type TenantSession struct {
 	ID    uint32
 	Token uint32
+	gw    *Gateway
+	idx   int // position in gw.sessions (its ready-bitmap bit)
 	lane  int
 
 	pendingData   int      // submitted operations not yet on the wire
@@ -38,6 +41,9 @@ type TenantSession struct {
 	NAKUnknown      int64
 	NAKBounds       int64
 
+	// credits is the bucket balance as of lastRefill, the last whole
+	// refill tick applied; the balance at any later instant is a pure
+	// function of the two (refilled).
 	credits    int
 	lastRefill time.Duration
 	stalled    bool
@@ -50,8 +56,27 @@ func (s *TenantSession) Pending() int { return s.pendingData + len(s.pendingProb
 // Inflight returns the session's unacknowledged operation count.
 func (s *TenantSession) Inflight() int { return len(s.inflight) }
 
-// Credits returns the session's current admission credit balance.
-func (s *TenantSession) Credits() int { return s.credits }
+// Credits returns the session's admission credit balance as of the
+// current virtual time. It is a read: the bucket is refilled lazily.
+func (s *TenantSession) Credits() int {
+	c, _ := s.refilled(s.gw.sched.Now())
+	return c
+}
+
+// refilled returns the bucket balance and refill mark as of now: the
+// bucket gains RefillAmount per whole RefillEvery elapsed since
+// lastRefill, capped at Credits. Floor division adds up and the cap
+// composes (min(min(a+x,C)+y,C) = min(a+x+y,C) for y >= 0), so applying
+// it once at touch time equals applying it at every tick in between.
+func (s *TenantSession) refilled(now time.Duration) (int, time.Duration) {
+	o := &s.gw.Opts
+	ticks := int64((now - s.lastRefill) / o.RefillEvery)
+	if ticks <= 0 {
+		return s.credits, s.lastRefill
+	}
+	return min(s.credits+int(ticks)*o.RefillAmount, o.Credits),
+		s.lastRefill + time.Duration(ticks)*o.RefillEvery
+}
 
 // GatewayStats aggregates the mux-side outcome counts.
 type GatewayStats struct {
@@ -100,9 +125,14 @@ type Gateway struct {
 	lanes        []*core.QP
 	laneSent     []uint64 // per-lane wire sequence (tx slot cycling)
 	laneInflight []int    // per-lane unacknowledged requests
+	// laneReady holds one bitmap per lane over session indices: bit i
+	// is set while sessions[i] rides that lane and has queued work.
+	laneReady [][]uint64
 
 	sessions []*TenantSession
 	sessByID map[uint32]*TenantSession
+	pending  int // queued operations across all sessions
+	inflight int // unacknowledged requests across all lanes
 
 	// onPost, when set, observes every request the instant it is on the
 	// wire (the post-trace tests hash this stream).
@@ -195,6 +225,7 @@ func (g *Gateway) attach(d *core.Daemon) {
 		g.lanes = append(g.lanes, qp)
 		g.laneSent = append(g.laneSent, 0)
 		g.laneInflight = append(g.laneInflight, 0)
+		g.laneReady = append(g.laneReady, nil)
 		req.Lanes = append(req.Lanes, qp.VQPN())
 	}
 	var resp attachResp
@@ -228,12 +259,17 @@ func (g *Gateway) OpenMore(count int) (int, error) {
 		id := resp.Base + uint32(i)
 		s := &TenantSession{
 			ID: id, Token: resp.TokenBase ^ (id * resp.TokenMul),
+			gw: g, idx: len(g.sessions),
 			lane:     int(id) % g.Opts.Lanes,
 			inflight: make(map[uint64]uint32),
 			credits:  g.Opts.Credits, lastRefill: now,
 		}
 		g.sessions = append(g.sessions, s)
 		g.sessByID[id] = s
+	}
+	words := (len(g.sessions) + 63) / 64
+	for lane, r := range g.laneReady {
+		g.laneReady[lane] = append(r, make([]uint64, words-len(r))...)
 	}
 	return first, nil
 }
@@ -279,6 +315,8 @@ func (g *Gateway) Stop() {
 func (g *Gateway) Submit(i, n int) {
 	s := g.sessions[i]
 	s.pendingData += n
+	g.pending += n
+	g.markReady(s)
 	s.DataSubmitted += int64(n)
 	g.Stats.Submitted += int64(n)
 	g.mSubmitted.Add(int64(n))
@@ -299,6 +337,8 @@ func (g *Gateway) SubmitAll(n int) {
 func (g *Gateway) Probe(i, victim int) {
 	s := g.sessions[i]
 	s.pendingProbes = append(s.pendingProbes, g.sessions[victim].Token)
+	g.pending++
+	g.markReady(s)
 	s.ProbesSubmitted++
 	g.Stats.Probes++
 	g.mProbes.Inc()
@@ -307,7 +347,7 @@ func (g *Gateway) Probe(i, victim int) {
 
 // Drain blocks until no operation is pending or in flight.
 func (g *Gateway) Drain() {
-	for g.pendingTotal()+g.inflightTotal() > 0 {
+	for g.pending+g.inflight > 0 {
 		g.idleC.Wait()
 	}
 }
@@ -318,30 +358,22 @@ func (g *Gateway) Session(i int) *TenantSession { return g.sessions[i] }
 // NumSessions returns the session count (open and closed).
 func (g *Gateway) NumSessions() int { return len(g.sessions) }
 
-func (g *Gateway) pendingTotal() int {
-	n := 0
-	for _, s := range g.sessions {
-		n += s.Pending()
+// markReady sets session s's ready bit once it has queued work.
+func (g *Gateway) markReady(s *TenantSession) {
+	if s.Pending() > 0 {
+		g.laneReady[s.lane][s.idx/64] |= 1 << (s.idx % 64)
 	}
-	return n
 }
 
-func (g *Gateway) inflightTotal() int {
-	n := 0
-	for _, l := range g.laneInflight {
-		n += l
-	}
-	return n
-}
-
-// pump is the mux loop: refill credits, move queued operations onto
-// lanes, consume completions. It waits on the CQ while work is in
-// flight, on the refill clock while work is queued on credits, and on
-// the work condition when idle.
+// pump is the mux loop: move queued operations onto lanes, consume
+// completions. It waits on the CQ while work is in flight, on the
+// refill clock while work is queued on credits, and on the work
+// condition when idle. Its cost follows the work done, not the session
+// count: totals are running counters, credits refill on touch and the
+// send pass visits only sessions with queued work on a lane with room.
 func (g *Gateway) pump(p *task.Process) {
 	for {
 		p.Gate()
-		g.refill()
 		progress := g.trySend()
 		polled := false
 		for _, e := range g.cq.Poll(64) {
@@ -352,11 +384,11 @@ func (g *Gateway) pump(p *task.Process) {
 			continue
 		}
 		switch {
-		case g.stopped && g.pendingTotal() == 0 && g.inflightTotal() == 0:
+		case g.stopped && g.pending == 0 && g.inflight == 0:
 			return
-		case g.inflightTotal() > 0:
+		case g.inflight > 0:
 			g.cq.WaitNonEmpty()
-		case g.pendingTotal() > 0:
+		case g.pending > 0:
 			g.sched.Sleep(g.Opts.RefillEvery)
 		default:
 			g.workC.Wait()
@@ -364,72 +396,94 @@ func (g *Gateway) pump(p *task.Process) {
 	}
 }
 
-// refill tops up every session's bucket for the ticks elapsed since
-// its last refill. Lazy and per-session, but a pure function of
-// virtual time — deterministic regardless of when the pump runs it.
-func (g *Gateway) refill() {
-	o := g.Opts
-	now := g.sched.Now()
-	for _, s := range g.sessions {
-		ticks := int64((now - s.lastRefill) / o.RefillEvery)
-		if ticks <= 0 {
-			continue
-		}
-		s.lastRefill += time.Duration(ticks) * o.RefillEvery
-		s.credits += int(ticks) * o.RefillAmount
-		if s.credits > o.Credits {
-			s.credits = o.Credits
-		}
-	}
-}
-
 // trySend moves queued operations onto lanes, round-robin across
-// sessions in ID order, until every session is blocked on its lane
+// sessions in index order, until every session is blocked on its lane
 // window, its credit bucket or an empty queue. Probes go first (they
 // bypass admission — an attacker does not wait politely); data spends
-// one credit per operation.
+// one credit per operation, refilled on touch.
+//
+// Each pass walks the session index space a 64-bit word at a time,
+// visiting the set bits of the OR of the ready bitmaps of lanes that
+// still have window room. Lanes only fill during a pass and no
+// submission lands inside one (PostSend never parks), so the visits
+// are exactly the sessions the full scan would reach with work queued
+// and lane room, in the same order.
 func (g *Gateway) trySend() bool {
-	o := g.Opts
+	now := g.sched.Now()
 	progress := false
 	for again := true; again; {
 		again = false
-		for _, s := range g.sessions {
-			if s.Pending() == 0 {
-				continue
-			}
-			if g.laneInflight[s.lane] >= o.LaneDepth {
-				continue
-			}
-			var claimed uint32
-			probe := len(s.pendingProbes) > 0
-			if probe {
-				claimed = s.pendingProbes[0]
-			} else {
-				if s.credits <= 0 {
-					if !s.stalled {
-						s.stalled = true
-						g.Stats.CreditStalls++
-						g.mStalls.Inc()
-					}
-					continue
-				}
-				claimed = s.Token
-			}
-			if err := g.post(s, claimed); err != nil {
-				g.Stats.errf("post session %d: %v", s.ID, err)
+		for w := 0; w < len(g.sessions); w += 64 {
+			word, open := g.readyWord(w / 64)
+			if !open {
 				return progress
 			}
-			if probe {
-				s.pendingProbes = s.pendingProbes[1:]
-			} else {
-				s.pendingData--
-				s.credits--
-				s.stalled = false
+			for ; word != 0; word &= word - 1 {
+				s := g.sessions[w+bits.TrailingZeros64(word)]
+				if g.laneInflight[s.lane] >= g.Opts.LaneDepth {
+					continue
+				}
+				posted, err := g.sendOne(s, now)
+				if err != nil {
+					g.Stats.errf("post session %d: %v", s.ID, err)
+					return progress
+				}
+				if posted {
+					again, progress = true, true
+				}
 			}
-			again, progress = true, true
 		}
 	}
 	return progress
+}
+
+// readyWord ORs word wi of the ready bitmaps of every lane with window
+// room; open reports whether any lane has room at all.
+func (g *Gateway) readyWord(wi int) (word uint64, open bool) {
+	for lane, r := range g.laneReady {
+		if g.laneInflight[lane] < g.Opts.LaneDepth {
+			word |= r[wi]
+			open = true
+		}
+	}
+	return word, open
+}
+
+// sendOne posts session s's next queued operation, if admission lets
+// it: a probe always, a data operation only on a credit (refilled to
+// now first). An empty bucket latches the session's stall.
+func (g *Gateway) sendOne(s *TenantSession, now time.Duration) (bool, error) {
+	var claimed uint32
+	probe := len(s.pendingProbes) > 0
+	if probe {
+		claimed = s.pendingProbes[0]
+	} else {
+		s.credits, s.lastRefill = s.refilled(now)
+		if s.credits <= 0 {
+			if !s.stalled {
+				s.stalled = true
+				g.Stats.CreditStalls++
+				g.mStalls.Inc()
+			}
+			return false, nil
+		}
+		claimed = s.Token
+	}
+	if err := g.post(s, claimed); err != nil {
+		return false, err
+	}
+	if probe {
+		s.pendingProbes = s.pendingProbes[1:]
+	} else {
+		s.pendingData--
+		s.credits--
+		s.stalled = false
+	}
+	g.pending--
+	if s.Pending() == 0 {
+		g.laneReady[s.lane][s.idx/64] &^= 1 << (s.idx % 64)
+	}
+	return true, nil
 }
 
 // post stamps one request into the session's lane ring and sends it.
@@ -453,6 +507,7 @@ func (g *Gateway) post(s *TenantSession, claimed uint32) error {
 	}
 	g.laneSent[lane]++
 	g.laneInflight[lane]++
+	g.inflight++
 	s.inflight[seq] = claimed
 	s.sent++
 	if g.onPost != nil {
@@ -489,6 +544,7 @@ func (g *Gateway) complete(e rnic.CQE) {
 		return
 	}
 	g.laneInflight[lane]--
+	g.inflight--
 	// Repost before accounting so the service can never overrun the
 	// response ring.
 	wr := rnic.RecvWR{WRID: e.WRID, SGEs: []rnic.SGE{{
@@ -498,7 +554,7 @@ func (g *Gateway) complete(e rnic.CQE) {
 		g.Stats.errf("repost recv: %v", err)
 	}
 	g.account(lane, h)
-	if g.pendingTotal()+g.inflightTotal() == 0 {
+	if g.pending+g.inflight == 0 {
 		g.idleC.Broadcast()
 	}
 }

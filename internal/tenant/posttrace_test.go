@@ -24,8 +24,8 @@ type postTraceGolden struct {
 	Hash   string `json:"hash"`
 }
 
-// postTraceScenario drives one gateway through a traffic script; the
-// checks assert the script exercised what it claims to.
+// postTraceScenario is one gateway configuration and the traffic
+// script its driver runs once the gateway is ready.
 type postTraceScenario struct {
 	name  string
 	opts  Options

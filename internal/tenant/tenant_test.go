@@ -21,7 +21,7 @@ type rig struct {
 	gwCont  *runc.Container
 }
 
-func newRig(t *testing.T, seed int64, opts Options) *rig {
+func newRig(t testing.TB, seed int64, opts Options) *rig {
 	t.Helper()
 	cl := cluster.New(cluster.FastCheckpointTestbed(seed), "gw", "src", "dst")
 	r := &rig{cl: cl, daemons: make(map[string]*core.Daemon)}
@@ -40,7 +40,7 @@ func newRig(t *testing.T, seed int64, opts Options) *rig {
 	return r
 }
 
-func (r *rig) finish(t *testing.T) {
+func (r *rig) finish(t testing.TB) {
 	t.Helper()
 	r.gw.Stop()
 	r.gw.Wait()
@@ -240,4 +240,41 @@ func TestMigrationCarriesSessions(t *testing.T) {
 	if !r.gw.done {
 		t.Fatal("gateway never drained")
 	}
+}
+
+// TestCreditsReportsLazyRefill pins that Credits() reads the balance as
+// of the current virtual time although the pump refills on touch only:
+// drain a bucket, let k refill ticks pass with no traffic, and the
+// reported balance must have grown by k·RefillAmount (capped) without
+// the read itself moving the bucket.
+func TestCreditsReportsLazyRefill(t *testing.T) {
+	opts := Options{
+		Sessions: 2, Lanes: 1, LaneDepth: 8,
+		Credits: 8, RefillAmount: 3, RefillEvery: time.Millisecond,
+	}
+	r := newRig(t, 36, opts)
+	r.cl.Sched.Go("driver", func() {
+		r.gw.WaitReady()
+		s := r.gw.Session(0)
+		r.gw.Submit(0, opts.Credits)
+		r.gw.Drain()
+		if got := s.Credits(); got != 0 {
+			t.Fatalf("drained bucket reports %d credits, want 0 (drain outlasted a refill tick?)", got)
+		}
+		for k, want := range []int{3, 6, 8, 8} {
+			r.cl.Sched.Sleep(opts.RefillEvery)
+			credits, mark := s.credits, s.lastRefill
+			if got := s.Credits(); got != want {
+				t.Errorf("after %d ticks: %d credits, want %d", k+1, got, want)
+			}
+			if s.credits != credits || s.lastRefill != mark {
+				t.Errorf("after %d ticks: Credits() mutated the bucket", k+1)
+			}
+		}
+		if got := r.gw.Session(1).Credits(); got != opts.Credits {
+			t.Errorf("idle session reports %d credits, want %d", got, opts.Credits)
+		}
+		r.finish(t)
+	})
+	r.cl.Sched.RunFor(2 * time.Second)
 }
